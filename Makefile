@@ -13,9 +13,13 @@ ci: vet build race chaos bench-smoke serve-smoke swap-smoke shard-smoke stream-s
 ## benchmarks (10 iterations — catches crashes and gross slowdowns cheaply);
 ## the -run leg prints the dispatch report and asserts the selected family is
 ## avx2 on AVX2-capable boxes (TestSelectedKernel skips elsewhere), so a
-## silent fall-back to the SSE2 kernels breaks CI instead of just perf
+## silent fall-back to the SSE2 kernels breaks CI instead of just perf. The
+## layers leg runs inference Forward of DroNet's layer 00/02 convolutions and
+## the 8x512² max-pool at the 512 px serving shapes, so a lowering or pooling
+## regression shows in the log next to the kernel numbers
 bench-smoke:
 	$(GO) test -run 'TestKernelDispatchInfo|TestSelectedKernel' -v -bench Gemm -benchtime 10x ./internal/tensor/
+	$(GO) test -run '^$$' -bench 'ConvForward|MaxPool' -benchtime 10x ./internal/layers/
 
 ## vet: static analysis plus the gofmt cleanliness gate — unformatted files
 ## fail the build with their names listed
@@ -132,7 +136,9 @@ chaos:
 ## spec-grammar invariants (FuzzGemmPackedVsNaive cross-checks the packed
 ## cache-blocked GEMM against the naive loops across EVERY registered
 ## microkernel family — avx2/sse2/portable: exact for int8, <=1e-4 relative
-## for fp32; the leading dispatch-info run logs which families this box
+## for fp32; FuzzConvLoweringVsIm2col holds the implicit-im2col conv
+## lowering to Im2col + packed GEMM bit for bit, also across every family;
+## the leading dispatch-info run logs which families this box
 ## detected so fuzz logs are attributable; FuzzParseModelSpecs holds -models
 ## parsing to a no-panic + parse/format/parse fixed-point contract). FUZZTIME
 ## tunes the per-target budget (CI's parallel fuzz job uses 15s).
@@ -143,6 +149,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNMS -fuzztime $(FUZZTIME) ./internal/detect
 	$(GO) test -run '^$$' -fuzz FuzzGemmPackedVsNaive -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzIm2colInt8 -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzConvLoweringVsIm2col -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzQuantDequant -fuzztime $(FUZZTIME) ./internal/quant
 	$(GO) test -run '^$$' -fuzz FuzzParseModelSpecs -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzRingOwnership -fuzztime $(FUZZTIME) ./internal/cluster

@@ -32,7 +32,8 @@ var goldenDetections = []detect.Detection{
 }
 
 // TestGoldenDetections pins the end-to-end numeric path — He-init RNG,
-// im2col+GEMM convolutions, inference batch norm, region decode, NMS — to a
+// convolutions lowered onto the packed GEMM (B panels packed straight from
+// the activations), inference batch norm, max-pooling, region decode, NMS — to a
 // golden detection set, so perf refactors of any of those stages are
 // regression-guarded. The comparison runs through the same IoU-agreement
 // machinery as the fp32-vs-int8 quantization bar rather than demanding an

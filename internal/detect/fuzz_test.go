@@ -70,12 +70,15 @@ func decodeDetections(data []byte) []Detection {
 }
 
 // FuzzNMS checks the suppression invariants on arbitrary detection sets: no
-// panic, the output is a subset of the input, scores are descending, and no
-// two kept detections of the same class overlap above the threshold.
+// panic, the output is a subset of the input, scores are descending, no two
+// kept detections of the same class overlap above the threshold, and the
+// kept set is identical to the plain greedy scan's (the oracle for the
+// disjoint-pair skip).
 func FuzzNMS(f *testing.F) {
 	f.Add([]byte{}, 0.45)
 	f.Add([]byte{64, 64, 128, 128, 200, 64, 64, 128, 128, 100}, 0.45)
 	f.Add([]byte{0, 0, 0, 0, 0, 255, 255, 255, 255, 255}, 0.0)
+	f.Add([]byte{10, 10, 20, 20, 3, 200, 200, 20, 20, 6}, -0.5) // disjoint, same class: suppressed below 0
 	f.Fuzz(func(t *testing.T, data []byte, thresh float64) {
 		if math.IsNaN(thresh) || math.IsInf(thresh, 0) {
 			t.Skip("non-finite threshold")
@@ -85,6 +88,16 @@ func FuzzNMS(f *testing.F) {
 		copy(input, dets)
 
 		kept := NMS(dets, thresh)
+
+		want := suppress(byScore(dets), thresh)
+		if len(kept) != len(want) {
+			t.Fatalf("NMS kept %d detections, plain scan %d", len(kept), len(want))
+		}
+		for i := range want {
+			if kept[i] != want[i] {
+				t.Fatalf("kept[%d] = %+v, plain scan %+v", i, kept[i], want[i])
+			}
+		}
 
 		if len(kept) > len(dets) {
 			t.Fatalf("NMS grew the set: %d -> %d", len(dets), len(kept))

@@ -6,21 +6,19 @@ import (
 	"repro/internal/engine"
 	"repro/internal/imgproc"
 	"repro/internal/models"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
 // TestGroupRegistry covers the pool-per-model registry: insertion order,
 // name uniqueness, worker totals, and workspace aggregation across pools
-// once replicas have been instantiated.
+// once replicas have been instantiated. Both pools serve int8, whose
+// replicas carve quantized im2col scratch, so each warmed pool contributes
+// a positive workspace to the sum; an fp32 pool, whose inference lowering
+// packs straight from the activations, carves nothing at these shapes.
 func TestGroupRegistry(t *testing.T) {
-	small, _, err := models.Build(models.DroNet, 64, tensor.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, _, err := models.Build(models.DroNet, 96, tensor.NewRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := quantizedDroNet(t, 64, 1)
+	big := quantizedDroNet(t, 96, 2)
 	engSmall, err := engine.New(small, engine.Config{Workers: 1, Thresh: 0.1})
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +78,26 @@ func TestGroupRegistry(t *testing.T) {
 		t.Errorf("group workspace = %d, want the one warmed pool's %d", ws, smallWS)
 	}
 	engBig.WarmBatch(2)
-	if ws := g.WorkspaceBytes(); ws != smallWS+engBig.WorkspaceBytes() {
-		t.Errorf("group workspace = %d, want sum of pools", ws)
+	bigWS := engBig.WorkspaceBytes()
+	if bigWS <= 0 {
+		t.Fatal("second warmed pool reports no workspace")
+	}
+	if ws := g.WorkspaceBytes(); ws != smallWS+bigWS {
+		t.Errorf("group workspace = %d, want sum of pools %d", ws, smallWS+bigWS)
+	}
+
+	// A warmed fp32 pool carves no inference im2col scratch.
+	fp32, _, err := models.Build(models.DroNet, 96, tensor.NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engFP32, err := engine.New(fp32, engine.Config{Workers: 1, Thresh: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engFP32.WarmBatch(2)
+	if ws := engFP32.WorkspaceBytes(); ws != 0 {
+		t.Errorf("warmed fp32 pool workspace = %d, want 0 (no inference im2col carve)", ws)
 	}
 
 	// The pools stay independently executable after registration.
@@ -89,6 +105,23 @@ func TestGroupRegistry(t *testing.T) {
 	if _, err := engSmall.ExecuteBatch(0, []*imgproc.Image{img}, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// quantizedDroNet builds a random-weight DroNet at size and quantizes it to
+// int8 on one uniform calibration frame.
+func quantizedDroNet(t *testing.T, size int, seed uint64) *quant.QNet {
+	t.Helper()
+	net, _, err := models.Build(models.DroNet, size, tensor.NewRNG(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calib := tensor.New(1, 3, size, size)
+	tensor.NewRNG(seed+100).FillUniform(calib.Data, 0, 1)
+	q, err := quant.Quantize(net, []*tensor.Tensor{calib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }
 
 // TestGroupMutation covers the runtime-mutable registry surface added for

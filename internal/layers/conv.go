@@ -29,8 +29,11 @@ func (a Activation) String() string {
 
 // Conv2D is a 2-D convolution with square kernels, optional batch
 // normalization, and an optional activation — the workhorse layer of every
-// model in the paper. Forward lowers to im2col + GEMM per image, exactly
-// like Darknet.
+// model in the paper. Forward runs one GEMM per image against the
+// pre-packed filters. Inference packs the GEMM's B panels straight from the
+// image (tensor.GemmConvPrepacked), so no im2col matrix is materialized
+// above the packing threshold; training and Backward lower through an
+// explicit im2col, like Darknet.
 type Conv2D struct {
 	in, out   Shape
 	Filters   int
@@ -183,12 +186,16 @@ func (c *Conv2D) PackedBytes() int64 {
 // arena on Add and CloneForInference, so every replica owns exactly one.
 func (c *Conv2D) SetScratchArena(a *tensor.Arena) { c.st.arena = a }
 
-// ensureCol returns the im2col scratch buffer for one image: an arena carve
-// when a per-replica arena is bound (the serving configuration — one carve
-// per Forward/Backward phase, pure pointer bump at steady state), otherwise
-// a layer-owned buffer allocated on first use.
-func (c *Conv2D) ensureCol() []float32 {
-	need := c.in.C * c.Ksize * c.Ksize * c.out.H * c.out.W
+// geom is the convolution's GEMM lowering geometry for one image.
+func (c *Conv2D) geom() tensor.ConvGeom {
+	return tensor.ConvGeom{C: c.in.C, H: c.in.H, W: c.in.W, Ksize: c.Ksize, Stride: c.Stride, Pad: c.Pad}
+}
+
+// ensureCol returns need floats of im2col scratch: an arena carve when a
+// per-replica arena is bound (the serving configuration — one carve per
+// Forward/Backward phase, pure pointer bump at steady state), otherwise a
+// layer-owned buffer allocated on first use.
+func (c *Conv2D) ensureCol(need int) []float32 {
 	if c.st.arena != nil {
 		return c.st.arena.F32(need)
 	}
@@ -238,20 +245,29 @@ func (c *Conv2D) IOBytes() int64 {
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.st.x = x
 	out := ensure(&c.st.out, x.N, c.out)
-	m := c.Filters
-	k := c.in.C * c.Ksize * c.Ksize
-	n := c.out.H * c.out.W
-	pointwise := c.Ksize == 1 && c.Stride == 1 && c.Pad == 0
+	g := c.geom()
+	if !train {
+		// Inference reuses the shared pre-packed filters and lowers
+		// implicitly; col is carved only below the packing threshold.
+		pre := c.inferencePack()
+		var col []float32
+		if need := g.ColLen(c.Filters); need > 0 {
+			col = c.ensureCol(need)
+		}
+		n := g.N()
+		for b := 0; b < x.N; b++ {
+			tensor.GemmConvPrepacked(pre, g, x.Batch(b).Data, col, out.Batch(b).Data, n)
+		}
+		c.inferEpilogue(out)
+		return out
+	}
+	m, k, n := c.Filters, g.K(), g.N()
+	pointwise := g.Pointwise()
 	var col []float32
 	if !pointwise {
-		col = c.ensureCol() // one carve per Forward, shared by the batch loop
+		col = c.ensureCol(k * n) // one carve per Forward, shared by the batch loop
 	}
-	// Inference reuses the shared pre-packed filters; training packs on the
-	// fly (the weights are about to change anyway).
-	var pre *tensor.PackedA
-	if !train {
-		pre = c.inferencePack()
-	}
+	// Training packs the filters on the fly (they are about to change).
 	for b := 0; b < x.N; b++ {
 		src := x.Batch(b).Data
 		lowered := src
@@ -259,21 +275,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			tensor.Im2col(src, c.in.C, c.in.H, c.in.W, c.Ksize, c.Stride, c.Pad, col)
 			lowered = col
 		}
-		dst := out.Batch(b).Data
-		if pre != nil {
-			tensor.GemmPrepacked(pre, false, n, lowered, n, 0, dst, n)
-		} else {
-			tensor.Gemm(false, false, m, n, k, 1, c.Weights.W.Data, k, lowered, n, 0, dst, n)
-		}
+		tensor.Gemm(false, false, m, n, k, 1, c.Weights.W.Data, k, lowered, n, 0, out.Batch(b).Data, n)
 	}
 	if c.BatchNorm {
-		if train {
-			c.st.preBN = ensureLike(c.st.preBN, out)
-			c.st.preBN.Copy(out)
-			c.forwardBatchNormTrain(out)
-		} else {
-			c.forwardBatchNormInfer(out)
-		}
+		c.st.preBN = ensureLike(c.st.preBN, out)
+		c.st.preBN.Copy(out)
+		c.forwardBatchNormTrain(out)
 	}
 	// Add bias (β for batch norm).
 	spatial := c.out.H * c.out.W
@@ -287,14 +294,52 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	if train {
-		c.st.preAct = ensureLike(c.st.preAct, out)
-		c.st.preAct.Copy(out)
-	}
+	c.st.preAct = ensureLike(c.st.preAct, out)
+	c.st.preAct.Copy(out)
 	if c.Act == ActLeaky {
 		tensor.Leaky(out.Data)
 	}
 	return out
+}
+
+// inferEpilogue applies inference batch norm (rolling statistics), the bias
+// and the activation in one pass over each output channel. Per element it
+// performs the same float32 operations in the same order as separate
+// batch-norm, bias and tensor.Leaky passes: γ·(v−μ)·inv, rounded, plus β,
+// then the leaky ReLU.
+func (c *Conv2D) inferEpilogue(out *tensor.Tensor) {
+	spatial := c.out.H * c.out.W
+	leaky := c.Act == ActLeaky
+	for f := 0; f < c.Filters; f++ {
+		bias := c.Biases.W.Data[f]
+		var inv, mu, gamma float32
+		if c.BatchNorm {
+			inv = 1 / sqrt32(c.RollingVar.Data[f]+bnEps)
+			mu = c.RollingMean.Data[f]
+			gamma = c.Scales.W.Data[f]
+		}
+		for b := 0; b < out.N; b++ {
+			seg := out.Batch(b).Data[f*spatial : (f+1)*spatial]
+			switch {
+			case c.BatchNorm && leaky:
+				for i, v := range seg {
+					seg[i] = tensor.LeakyValue(float32(gamma*(v-mu)*inv) + bias)
+				}
+			case c.BatchNorm:
+				for i, v := range seg {
+					seg[i] = float32(gamma*(v-mu)*inv) + bias
+				}
+			case leaky:
+				for i, v := range seg {
+					seg[i] = tensor.LeakyValue(v + bias)
+				}
+			default:
+				for i := range seg {
+					seg[i] += bias
+				}
+			}
+		}
+	}
 }
 
 func ensureLike(t, like *tensor.Tensor) *tensor.Tensor {
@@ -347,22 +392,6 @@ func (c *Conv2D) forwardBatchNormTrain(out *tensor.Tensor) {
 	}
 }
 
-// forwardBatchNormInfer normalizes out in place with rolling statistics.
-func (c *Conv2D) forwardBatchNormInfer(out *tensor.Tensor) {
-	spatial := c.out.H * c.out.W
-	for f := 0; f < c.Filters; f++ {
-		inv := 1 / sqrt32(c.RollingVar.Data[f]+bnEps)
-		mu := c.RollingMean.Data[f]
-		gamma := c.Scales.W.Data[f]
-		for b := 0; b < out.N; b++ {
-			seg := out.Batch(b).Data[f*spatial : (f+1)*spatial]
-			for i, v := range seg {
-				seg[i] = gamma * (v - mu) * inv
-			}
-		}
-	}
-}
-
 func sqrt32(x float32) float32 {
 	if x <= 0 {
 		return 0
@@ -394,19 +423,18 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		c.backwardBatchNorm(delta)
 	}
 	// Weight gradient and input gradient per image.
-	m := c.Filters
-	k := c.in.C * c.Ksize * c.Ksize
-	n := spatial
+	g := c.geom()
+	m, k, n := c.Filters, g.K(), spatial
 	dx := ensureDX(&c.st.dx, c.st.x)
 	dx.Zero()
-	pointwise := c.Ksize == 1 && c.Stride == 1 && c.Pad == 0
+	pointwise := g.Pointwise()
 	var col, dcol []float32
 	if !pointwise {
 		// With an arena these are two distinct carves; in the legacy
 		// layer-owned mode both name the same buffer, which is safe because
 		// col's contents are consumed (dW GEMM) before dcol is zeroed.
-		col = c.ensureCol()
-		dcol = c.ensureCol()
+		col = c.ensureCol(k * n)
+		dcol = c.ensureCol(k * n)
 	}
 	for b := 0; b < delta.N; b++ {
 		src := c.st.x.Batch(b).Data

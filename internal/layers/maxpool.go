@@ -83,14 +83,18 @@ func (p *MaxPool) IOBytes() int64 {
 	return 4 * (int64(p.in.Size()) + int64(p.out.Size()))
 }
 
-// Forward implements Layer. The window bounds are clamped per output
-// row/column BEFORE the window loops, so the hot interior runs without any
-// per-element padding branch — max pooling sits on the serving path right
-// after the widest convolutions, and the branchy form showed up as the
-// single largest non-GEMM cost in the serving profile.
+// Forward implements Layer. Inference of the 2×2/2 pool takes
+// forward2x2; every other case runs the general loop below, which records
+// the argmax for Backward. It clamps the window bounds per output
+// row/column before the window loops, so the interior runs without a
+// per-element padding branch.
 func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	p.st.x = x
 	out := ensure(&p.st.out, x.N, p.out)
+	if !train && p.pairwise() {
+		p.forward2x2(x, out)
+		return out
+	}
 	if train {
 		need := out.Len()
 		if len(p.st.idx) != need {
@@ -147,6 +151,77 @@ func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// pairwise reports whether the pool is the 2×2/2 window with no leading pad
+// (Darknet's default pad of 1 lands on the trailing edge), which inference
+// runs through forward2x2.
+func (p *MaxPool) pairwise() bool {
+	return p.Size == 2 && p.Stride == 2 && p.Pad/2 == 0
+}
+
+// forward2x2 is the inference path of the 2×2/2 pool: no argmax
+// bookkeeping, and a compare-select per window element instead of a branch
+// that mispredicts on random activations. It returns the same bits as the
+// training path, which keeps the first element strictly greater than
+// everything before it, starting from -Inf, and writes 0 when nothing
+// qualifies (every element NaN or -Inf). A window clamped by the trailing
+// pad re-reads its in-image row or column, which never replaces the kept
+// value, so clamping needs no branch either.
+func (p *MaxPool) forward2x2(x, out *tensor.Tensor) {
+	inH, inW := p.in.H, p.in.W
+	outH, outW := p.out.H, p.out.W
+	for b := 0; b < x.N; b++ {
+		src := x.Batch(b).Data
+		dst := out.Batch(b).Data
+		for ch := 0; ch < p.in.C; ch++ {
+			plane := src[ch*inH*inW : (ch+1)*inH*inW]
+			for oh := 0; oh < outH; oh++ {
+				h1 := min(2*oh+1, inH-1)
+				pool2x2Row(dst[(ch*outH+oh)*outW:(ch*outH+oh+1)*outW],
+					plane[2*oh*inW:2*oh*inW+inW], plane[h1*inW:h1*inW+inW])
+			}
+		}
+	}
+}
+
+// pool2x2Row pools input rows r0 and r1 into output row o. Each window is
+// scanned as two row pairs joined at the end; the join is exact because a
+// pair result is -Inf or a non-NaN maximum, and the bottom pair replaces the
+// top one only when strictly greater, so the first maximum still wins —
+// including which of +0 and -0 wins a tie.
+func pool2x2Row(o, r0, r1 []float32) {
+	negInf := float32(math.Inf(-1))
+	full := len(r0) / 2 // windows lying inside the row
+	for ow := 0; ow < full; ow++ {
+		top := gtSelect(gtSelect(negInf, r0[2*ow]), r0[2*ow+1])
+		bottom := gtSelect(gtSelect(negInf, r1[2*ow]), r1[2*ow+1])
+		o[ow] = noneToZero(gtSelect(top, bottom))
+	}
+	if len(o) > full { // odd width: the last window holds one column
+		w := len(r0) - 1
+		o[full] = noneToZero(gtSelect(gtSelect(negInf, r0[w]), r1[w]))
+	}
+}
+
+// gtSelect returns v if v > best and best otherwise, as a select on the
+// bits (the compiler emits a conditional move for integer selects only).
+func gtSelect(best, v float32) float32 {
+	bits := math.Float32bits(best)
+	if vb := math.Float32bits(v); v > best {
+		bits = vb
+	}
+	return math.Float32frombits(bits)
+}
+
+// noneToZero maps the -Inf left by a window with no qualifying element to
+// the 0 the training path writes for it.
+func noneToZero(best float32) float32 {
+	bits := math.Float32bits(best)
+	if best == float32(math.Inf(-1)) {
+		bits = 0
+	}
+	return math.Float32frombits(bits)
 }
 
 // Backward implements Layer: routes each output gradient to its argmax.

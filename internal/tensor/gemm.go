@@ -26,6 +26,12 @@ import (
 // runs in a fixed order, so results are deterministic for any GOMAXPROCS
 // (and exact for the int8 driver in int8.go, which shares this machinery).
 //
+// The B side can also be implicit (im2col.go): for a convolution the driver
+// packs its B panels straight from the CHW image window instead of from a
+// materialized Im2col matrix, so the col is never written or re-read. The
+// packed values are the same, so results are bit-identical to the Im2col
+// lowering.
+//
 // The A side can also arrive pre-packed (prepack.go): GemmPrepacked skips
 // the per-call A pack entirely and points the tile stage at a shared
 // read-only slab packed once at model build time. The context therefore
@@ -130,6 +136,11 @@ type gemmCtx struct {
 	ldb     int
 	ldc     int
 
+	// img, when non-nil, is the implicit B source: B is the Im2col matrix
+	// of img under geometry conv, packed panel by panel (packBConv).
+	img  []float32
+	conv ConvGeom
+
 	kk, kc  int // current K panel
 	jj, nc  int // current N chunk
 	nStrips int
@@ -164,7 +175,7 @@ func (ctx *gemmCtx) setKernels(kern *microKernels) {
 
 // release clears borrowed references and returns the context to the pool.
 func (ctx *gemmCtx) release() {
-	ctx.a, ctx.b, ctx.c = nil, nil, nil
+	ctx.a, ctx.b, ctx.c, ctx.img = nil, nil, nil, nil
 	ctx.a8, ctx.b8 = nil, nil
 	ctx.paRO, ctx.pa16RO = nil, nil
 	ctx.requant, ctx.bias = nil, nil
@@ -206,15 +217,37 @@ func resliceI16(s []int16, n int) []int16 {
 // prepack.go's layout (alpha folded in, packed at kern's MR): the per-panel
 // A pack stage is skipped and the tile stage reads the shared slab directly.
 func gemmPacked(kern *microKernels, ta, tb bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, pre []float32) {
+	ctx := newGemmCtx(kern, ta, m, n, k, alpha, a, lda, c, ldc)
+	ctx.tb, ctx.b, ctx.ldb = tb, b, ldb
+	ctx.run(pre)
+}
+
+// gemmConvPacked is gemmPacked with the implicit B operand im2col(img) under
+// geometry g: C += op(A)·im2col(img), with op(A) m×g.K() and C m×g.N().
+func gemmConvPacked(kern *microKernels, g ConvGeom, m int, ta bool, alpha float32, a []float32, lda int, img []float32, c []float32, ldc int, pre []float32) {
+	ctx := newGemmCtx(kern, ta, m, g.N(), g.K(), alpha, a, lda, c, ldc)
+	ctx.img, ctx.conv = img, g
+	ctx.run(pre)
+}
+
+// newGemmCtx takes a pooled context and fills in the kernel family and the
+// A and C sides; the caller sets the B source.
+func newGemmCtx(kern *microKernels, ta bool, m, n, k int, alpha float32, a []float32, lda int, c []float32, ldc int) *gemmCtx {
 	ctx := gemmCtxPool.Get().(*gemmCtx)
 	ctx.setKernels(kern)
-	ctx.ta, ctx.tb = ta, tb
+	ctx.ta = ta
 	ctx.m, ctx.n, ctx.k = m, n, k
 	ctx.alpha = alpha
-	ctx.a, ctx.b, ctx.c = a, b, c
-	ctx.lda, ctx.ldb, ctx.ldc = lda, ldb, ldc
+	ctx.a, ctx.c = a, c
+	ctx.lda, ctx.ldc = lda, ldc
 	ctx.nStrips = (m + ctx.mr - 1) / ctx.mr
+	return ctx
+}
 
+// run executes the blocked driver over the context's problem and releases
+// the context.
+func (ctx *gemmCtx) run(pre []float32) {
+	n, k := ctx.n, ctx.k
 	for kk := 0; kk < k; kk += kcBlock {
 		ctx.kk = kk
 		ctx.kc = min(kcBlock, k-kk)
@@ -251,6 +284,10 @@ func taskPackAF32(ctx *gemmCtx, lo, hi int) {
 func taskPackBF32(ctx *gemmCtx, lo, hi int) {
 	for pn := lo; pn < hi; pn++ {
 		dst := ctx.pb[pn*ctx.nr*ctx.kc : (pn+1)*ctx.nr*ctx.kc]
+		if ctx.img != nil {
+			packBConv(&ctx.conv, ctx.img, ctx.jj+pn*ctx.nr, ctx.kk, ctx.kc, dst, ctx.nr)
+			continue
+		}
 		packBF32(ctx.tb, ctx.b, ctx.ldb, ctx.n, ctx.jj+pn*ctx.nr, ctx.kk, ctx.kc, dst, ctx.nr)
 	}
 }

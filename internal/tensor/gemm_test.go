@@ -49,6 +49,10 @@ func TestGemmPackedMatchesNaive(t *testing.T) {
 		{true, true, 40, 64, 33, 0.5, 2},     // both transposed
 		{false, false, 1, 65536, 9, 1, 0},    // single row strip, huge n
 		{false, false, 257, 24, 520, 1.5, 0}, // many strips, small n
+		// Several N chunks together with edge panels, several row strips
+		// and beta != 0, at a shallow and at a full-depth K panel.
+		{false, false, 13, 2*ncBlock + 7, 67, 1, 1},
+		{false, false, 13, ncBlock + 7, kcBlock, 1, 0.5},
 	}
 	for _, tc := range cases {
 		if int64(tc.m)*int64(tc.n)*int64(tc.k) < packThreshold {

@@ -23,10 +23,21 @@ func Log32(x float32) float32 { return float32(math.Log(float64(x))) }
 // Leaky applies the leaky-ReLU activation in place.
 func Leaky(x []float32) {
 	for i, v := range x {
-		if v < 0 {
-			x[i] = LeakySlope * v
-		}
+		x[i] = LeakyValue(v)
 	}
+}
+
+// LeakyValue is the leaky ReLU of one value: LeakySlope·v when v < 0, else
+// v. It selects between the two bit patterns instead of branching, since
+// the sign of a fresh activation is a coin flip that a branch mispredicts
+// half the time (the compiler emits conditional moves for integer selects
+// only).
+func LeakyValue(v float32) float32 {
+	bits := math.Float32bits(v)
+	if neg := math.Float32bits(LeakySlope * v); v < 0 {
+		bits = neg
+	}
+	return math.Float32frombits(bits)
 }
 
 // LeakyGrad multiplies grad by the leaky-ReLU derivative evaluated at the

@@ -119,6 +119,88 @@ func packBF32(tb bool, b []float32, ldb, n, j0, kk, kc int, dst []float32, nr in
 	}
 }
 
+// convRun is a stretch of one packed B panel's columns that share an output
+// row: dst columns [d0, d0+n) read image row ih+hOff from column iw+wOff on,
+// every stride-th pixel, for window offset (hOff, wOff).
+type convRun struct {
+	d0, n  int
+	ih, iw int
+}
+
+// packBConv packs cols [j0, min(j0+nr, n)) over k-range [kk, kk+kc) of the
+// implicit B = Im2col(img) under geometry g into dst (len nr*kc) — exactly
+// the values packBF32 would copy out of the materialized col, zero padding
+// included, without the col ever being written.
+func packBConv(g *ConvGeom, img []float32, j0, kk, kc int, dst []float32, nr int) {
+	outW := g.OutW()
+	cols := min(nr, g.N()-j0)
+	h, w, ks, stride := g.H, g.W, g.Ksize, g.Stride
+	var runs [maxNR]convRun
+	nRuns := 0
+	for c := 0; c < cols; {
+		oh, ow := (j0+c)/outW, (j0+c)%outW
+		l := min(cols-c, outW-ow)
+		runs[nRuns] = convRun{d0: c, n: l, ih: oh*stride - g.Pad, iw: ow*stride - g.Pad}
+		nRuns++
+		c += l
+	}
+	// Row r of the col is window offset (hOff, wOff) of channel ch, with
+	// r = (ch·ks + hOff)·ks + wOff; step the triple along with p.
+	wOff := kk % ks
+	hOff := (kk / ks) % ks
+	ch := kk / (ks * ks)
+	for p := 0; p < kc; p++ {
+		d := dst[p*nr : p*nr+nr]
+		plane := img[ch*h*w : (ch+1)*h*w]
+		for _, r := range runs[:nRuns] {
+			seg := d[r.d0 : r.d0+r.n]
+			ih, iw := r.ih+hOff, r.iw+wOff
+			if uint(ih) >= uint(h) {
+				clear(seg)
+				continue
+			}
+			row := plane[ih*w : ih*w+w]
+			if stride == 1 && iw >= 0 && iw+len(seg) <= w {
+				copyRun(seg, row[iw:iw+len(seg)])
+				continue
+			}
+			for c := range seg {
+				if x := iw + c*stride; uint(x) < uint(w) {
+					seg[c] = row[x]
+				} else {
+					seg[c] = 0
+				}
+			}
+		}
+		if cols < nr {
+			clear(d[cols:])
+		}
+		if wOff++; wOff == ks {
+			wOff = 0
+			if hOff++; hOff == ks {
+				hOff = 0
+				ch++
+			}
+		}
+	}
+}
+
+// copyRun copies src into dst (equal lengths). The full-panel widths of the
+// registered kernel families are fixed-size array moves the compiler
+// inlines; a memmove call per 16 floats would cost more than the copy.
+func copyRun(dst, src []float32) {
+	switch len(dst) {
+	case 16:
+		lo, hi := *(*[8]float32)(src), *(*[8]float32)(src[8:])
+		*(*[8]float32)(dst), *(*[8]float32)(dst[8:]) = lo, hi
+	case 8:
+		v := *(*[8]float32)(src)
+		*(*[8]float32)(dst) = v
+	default:
+		copy(dst, src)
+	}
+}
+
 // packAI8 packs rows [i0, min(i0+mr, m)) over the full k of A (int8, row
 // major, no transpose — the quantized weights) into dst (len 2*mr*kPairs) as
 // sign-extended int16 k-pairs, zero-padding missing rows and an odd final k.

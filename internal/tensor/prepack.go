@@ -45,7 +45,11 @@ type PackedA struct {
 // mutate the matrix while the pack is in use (repack instead; see the
 // invalidation hooks in internal/layers).
 func PackA(ta bool, m, k int, alpha float32, a []float32, lda int) *PackedA {
-	kern := currentKernels()
+	return packAFor(currentKernels(), ta, m, k, alpha, a, lda)
+}
+
+// packAFor is PackA for an explicit microkernel family.
+func packAFor(kern *microKernels, ta bool, m, k int, alpha float32, a []float32, lda int) *PackedA {
 	nStrips := (m + kern.mr - 1) / kern.mr
 	pa := &PackedA{kern: kern, m: m, k: k, alpha: alpha, ta: ta, a: a, lda: lda,
 		data: make([]float32, nStrips*kern.mr*k)}
