@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke serve-bench serve-smoke swap-smoke shard-smoke stream-smoke stream-soak chaos fuzz fleet serve profile
+.PHONY: ci vet build test race bench bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke stream-soak chaos fuzz fleet serve profile
 
 ## ci: the full tier-1 + hygiene gate (what .github/workflows/ci.yml's main
 ## job runs step by step); bench-smoke runs the GEMM kernels a few iterations
 ## so a kernel regression (or an asm/portable divergence) breaks CI loudly,
-## not just slowly. Deliberately NOT `bench`: that regenerates (and dirties)
-## the committed BENCH_serve.json, which is a release chore, not a gate.
+## not just slowly. Deliberately NOT `bench`: a one-iteration pass over every
+## benchmark costs minutes and catches bit-rot, not regressions; serving
+## throughput is measured by perfbench/run.sh.
 ci: vet build race chaos bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke
 
 ## bench-smoke: quick kernel-level regression tripwire over the packed GEMM
@@ -40,27 +41,10 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 ## bench: one-iteration smoke pass over every benchmark (catches bit-rot,
-## not performance; use `go test -bench . -benchtime 1s` for real numbers),
-## then the serving throughput run that regenerates the extended fp32+int8
-## BENCH_serve.json
-bench: serve-bench
+## not performance; use `go test -bench . -benchtime 1s` for real numbers,
+## and `bash perfbench/run.sh` for the serving measurement of record)
+bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-## serve-bench: drive the micro-batching service with concurrent synthetic
-## clients — once at fp32, once at int8 — and write BENCH_serve.json (agg
-## FPS per precision, p50/p99 latency, batch-size histogram, and the
-## fp32-vs-int8 detection-agreement score) so the serving perf trajectory is
-## tracked per-commit; the proxy leg then spawns a two-shard fleet and
-## merges the "sharded" section (client throughput, fleet rollup, per-shard
-## balance) into the same report
-serve-bench:
-	$(GO) run ./cmd/dronet-serve -selfbench -size 96 -scale 0.25 -workers 2 \
-	    -bench-clients 8 -bench-requests 25 -bench-out BENCH_serve.json \
-	    -models "low=dronet:64:int8:150,high=dronet:96:fp32"
-	$(GO) build -o bin/dronet-serve ./cmd/dronet-serve
-	$(GO) run ./cmd/dronet-proxy -selfbench -spawn 2 -serve-bin bin/dronet-serve \
-	    -size 96 -scale 0.25 -workers 2 -bench-cameras 12 -bench-requests 25 \
-	    -bench-out BENCH_serve.json
 
 ## serve-smoke: boot the real dronet-serve binary on a random port — once per
 ## precision (fp32, then -precision int8 with startup calibration), then once
@@ -154,13 +138,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseModelSpecs -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzRingOwnership -fuzztime $(FUZZTIME) ./internal/cluster
 
-## profile: run the serving selfbench with CPU + heap pprof capture; inspect
-## with `go tool pprof bin/pprof/cpu.pprof` (see README "Profiling")
+## profile: run the in-process serving benchmark (BenchmarkServeThroughput:
+## concurrent clients through the micro-batching server) with CPU + heap
+## pprof capture; inspect with `go tool pprof bin/pprof/cpu.pprof` (see
+## README "Profiling")
 profile:
 	mkdir -p bin/pprof
-	$(GO) run ./cmd/dronet-serve -selfbench -size 96 -scale 0.25 -workers 2 \
-	    -bench-clients 8 -bench-requests 25 -bench-out bin/pprof/BENCH_serve.json \
-	    -cpuprofile bin/pprof/cpu.pprof -memprofile bin/pprof/heap.pprof
+	$(GO) test -run '^$$' -bench ServeThroughput -cpuprofile cpu.pprof -memprofile heap.pprof \
+	    -o bin/pprof/serve.test -outputdir $(CURDIR)/bin/pprof ./internal/serve
 
 ## fleet: demo the multi-stream engine with a serial-vs-parallel comparison
 fleet:

@@ -18,7 +18,8 @@ type shardHealth struct {
 	ShardID string `json:"shard_id"`
 }
 
-// healthLoop actively probes every shard's /healthz each HealthInterval.
+// healthLoop actively probes every shard's /healthz each HealthInterval
+// (NewProxy has already run the first pass).
 // Probes run concurrently (one slow shard must not delay the others'
 // verdicts) and complement the passive forward-error path: passive marks
 // catch a dead shard within FailThreshold requests, active probes catch it
@@ -29,7 +30,6 @@ func (p *Proxy) healthLoop() {
 	defer p.wg.Done()
 	t := time.NewTicker(p.cfg.HealthInterval)
 	defer t.Stop()
-	p.probeAll() // immediate first pass: don't wait an interval to learn labels
 	for {
 		select {
 		case <-p.stop:

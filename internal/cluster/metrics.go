@@ -142,7 +142,8 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // rollup merges per-shard fleet-aggregate stats into one fleet-of-fleets
-// aggregate. Counters, queue occupancy, worker counts and throughput sum;
+// aggregate. Counters, gauges (queue occupancy, open sessions, retry-budget
+// balance), worker counts and throughput sum;
 // latency percentiles cannot be merged exactly from summaries, so p50/p99
 // and the mean are completion-weighted averages (documented approximation)
 // while the max is exact; per-process identity labels are dropped (a
@@ -169,6 +170,14 @@ func rollup(parts []serve.Stats) serve.Stats {
 		out.RetriesExhaustedTotal += s.RetriesExhaustedTotal
 		out.DeadlineExceededTotal += s.DeadlineExceededTotal
 		out.DegradedTotal += s.DegradedTotal
+		out.RetryBudgetTokens += s.RetryBudgetTokens
+		out.SessionsOpen += s.SessionsOpen
+		out.SessionsTotal += s.SessionsTotal
+		out.SessionsEvictedIdle += s.SessionsEvictedIdle
+		out.StreamFramesTotal += s.StreamFramesTotal
+		out.StreamFramesDropped += s.StreamFramesDropped
+		out.StreamFramesRejected += s.StreamFramesRejected
+		out.StreamTracksRetired += s.StreamTracksRetired
 		out.BorrowedWorkers += s.BorrowedWorkers
 		out.BorrowsTotal += s.BorrowsTotal
 		out.QueueDepth += s.QueueDepth

@@ -152,7 +152,8 @@ type Proxy struct {
 	wg   sync.WaitGroup
 }
 
-// NewProxy builds the proxy and starts its health-check loop.
+// NewProxy builds the proxy, probes every shard once and starts its
+// health-check loop.
 func NewProxy(cfg ProxyConfig) (*Proxy, error) {
 	cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
@@ -190,6 +191,10 @@ func NewProxy(cfg ProxyConfig) (*Proxy, error) {
 	p.mux.HandleFunc("/stream", p.handleStream)
 	p.mux.HandleFunc("/healthz", p.handleHealthz)
 	p.mux.HandleFunc("/metrics", p.handleMetrics)
+	// One synchronous pass before the loop starts, so the proxy never
+	// answers a request before it has learned the shard ids (each probe is
+	// capped at min(HealthInterval, 2s)).
+	p.probeAll()
 	p.wg.Add(1)
 	go p.healthLoop()
 	return p, nil

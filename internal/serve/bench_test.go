@@ -16,10 +16,11 @@ import (
 )
 
 // BenchmarkServeThroughput measures end-to-end serving throughput (HTTP
-// parse + queue + micro-batched inference) with parallel clients, the
-// go-bench counterpart of `dronet-serve -selfbench`. Mean micro-batch size
-// is reported alongside images/sec: rising parallelism should raise it, and
-// with it per-image efficiency.
+// parse + queue + micro-batched inference) with parallel clients; `make
+// profile` runs it under CPU and heap pprof (the measurement of record is
+// perfbench/run.sh). Mean micro-batch size is reported alongside
+// images/sec: rising parallelism should raise it, and with it per-image
+// efficiency.
 func BenchmarkServeThroughput(b *testing.B) {
 	net, _, err := models.Build(models.DroNet, 64, tensor.NewRNG(1))
 	if err != nil {

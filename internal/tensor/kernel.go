@@ -111,9 +111,8 @@ func currentKernels() *microKernels {
 }
 
 // KernelName reports the active microkernel family: "avx2", "sse2" or
-// "portable". Serving surfaces (selfbench kernels entries, /healthz) label
-// their numbers with it so committed benchmarks are attributable to a
-// dispatch path.
+// "portable". /healthz and the perfbench run stamp label their numbers with
+// it so recorded benchmarks are attributable to a dispatch path.
 func KernelName() string {
 	return currentKernels().name
 }
